@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -174,6 +175,42 @@ func TestServeIngestAndQuery(t *testing.T) {
 	}
 	if st.Queries < 2 || st.PlanCache.Hits < 1 || st.PlanCache.Misses < 1 {
 		t.Fatalf("stats counters %+v", st)
+	}
+
+	// A trust filter must prune the open segment by its whole zone, not
+	// its first row's: the live view answers exactly as Store() does.
+	// The next batch seals the 120 rows before it and opens a segment
+	// whose first row carries neither its trust minimum nor maximum.
+	tail := batchRows(per)
+	for j := range tail {
+		tail[j].Trust = float32((7*j+20)%per) / per
+		tail[j].Start = 1400000000 + int64(j)*86400
+		tail[j].End = tail[j].Start + 30
+	}
+	if w := postJSON(t, h, "/ingest", ingestRequest{Rows: tail, AutoBatch: true}); w.Code != http.StatusOK {
+		t.Fatalf("tail ingest: %d %s", w.Code, w.Body.String())
+	}
+	parsed, err = lang.Parse("where trust >= 0.75 | group week")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lq, err = query.Compile(parsed); err != nil {
+		t.Fatal(err)
+	}
+	ref, err := ls.Store()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err = query.Run(ref, lq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := query.Run(ls.View(), lq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.TotalCount() != per/4 || !reflect.DeepEqual(got.Groups, want.Groups) {
+		t.Fatalf("trust filter on the live view: %+v, Store() gives %+v (want %d rows)", got.Groups, want.Groups, per/4)
 	}
 }
 

@@ -1,20 +1,23 @@
 package store
 
+import "slices"
+
 // Compact merges runs of adjacent small sealed segments into single
-// segments of at most maxRows rows, re-running the zone-map and
-// column-encoding passes on each merged segment (Builder.Seal). Live
-// ingest — especially with small seal thresholds — accumulates many
-// tiny segments, and per-segment costs (zone checks, plan binding,
-// snapshot framing) grow with their count; compaction bounds it.
+// segments of at most maxRows rows, recomputing the zone map and column
+// encoding over each merged span. Live ingest — especially with small
+// seal thresholds — accumulates many tiny segments, and per-segment
+// costs (zone checks, plan binding, snapshot framing) grow with their
+// count; compaction bounds it.
 //
-// The merge runs outside ls.mu (segments are immutable, so reading them
-// unlocked is safe) and splices the result in under the mutex only
-// after re-verifying, by pointer identity, that the sealed list still
-// begins with the snapshot it merged — a concurrent Compact loses the
-// race and discards its work. Segments sealed while the merge ran are
-// preserved after the splice point. The spliced list is a freshly
-// allocated slice, never an in-place edit, because view captures hold
-// headers into the old one.
+// No row moves: a merged segment is the union of adjacent spans of the
+// live store's columns. The zone and encoding passes run outside ls.mu
+// (sealed rows are immutable, so reading them unlocked is safe), and the
+// result is spliced in under the mutex only after re-verifying that the
+// sealed layout still begins with the spans it merged — a concurrent
+// Compact loses the race and discards its work. Segments sealed while
+// the merge ran are preserved after the splice point. The spliced layout
+// is freshly allocated, never an in-place edit, because views and
+// checkpoints hold headers into the old one.
 //
 // Compaction changes segment boundaries but never row content or order,
 // so query results are unchanged; a checkpoint taken after compaction
@@ -30,19 +33,21 @@ func (ls *LiveStore) Compact(maxRows int) int {
 		return 0
 	}
 	ls.mu.Lock()
-	sealed := ls.sealed
+	segs, cols := ls.segs, ls.cols
 	ls.mu.Unlock()
 
 	// Plan greedy runs of ≥2 adjacent segments fitting within maxRows.
 	type mergeRun struct {
 		lo, hi int
-		merged *Segment
+		info   SegmentInfo
+		zone   ZoneMap
+		enc    SegmentEnc
 	}
 	var runs []mergeRun
-	for i := 0; i < len(sealed); {
+	for i := 0; i < len(segs); {
 		j, rows := i, 0
-		for j < len(sealed) && rows+sealed[j].Len() <= maxRows {
-			rows += sealed[j].Len()
+		for j < len(segs) && rows+segs[j].Rows() <= maxRows {
+			rows += segs[j].Rows()
 			j++
 		}
 		if j-i >= 2 {
@@ -56,49 +61,33 @@ func (ls *LiveStore) Compact(maxRows int) int {
 		return 0
 	}
 	for k := range runs {
-		runs[k].merged = mergeSegments(sealed[runs[k].lo:runs[k].hi])
+		r := &runs[k]
+		first, last := segs[r.lo], segs[r.hi-1]
+		r.info = SegmentInfo{RowLo: first.RowLo, RowHi: last.RowHi, BatchLo: first.BatchLo, BatchHi: last.BatchHi}
+		r.zone = computeZoneMap(cols.taskType, cols.item, cols.worker, cols.answer, cols.start, cols.end, cols.trust, r.info.RowLo, r.info.RowHi)
+		r.enc = cols.encode(r.info.RowLo, r.info.RowHi)
 	}
 
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
-	if len(ls.sealed) < len(sealed) {
+	if len(ls.segs) < len(segs) || !slices.Equal(ls.segs[:len(segs)], segs) {
 		return 0
 	}
-	for i, g := range sealed {
-		if ls.sealed[i] != g {
-			return 0
-		}
-	}
 	removed := 0
-	newSealed := make([]*Segment, 0, len(ls.sealed))
+	newSegs := make([]SegmentInfo, 0, len(ls.segs))
+	newZones := make([]ZoneMap, 0, len(ls.segs))
+	newEncs := make([]SegmentEnc, 0, len(ls.segs))
 	prev := 0
 	for _, r := range runs {
-		newSealed = append(newSealed, sealed[prev:r.lo]...)
-		newSealed = append(newSealed, r.merged)
+		newSegs = append(append(newSegs, ls.segs[prev:r.lo]...), r.info)
+		newZones = append(append(newZones, ls.zones[prev:r.lo]...), r.zone)
+		newEncs = append(append(newEncs, ls.encs[prev:r.lo]...), r.enc)
 		prev = r.hi
 		removed += r.hi - r.lo - 1
 	}
-	newSealed = append(newSealed, ls.sealed[prev:]...)
-	ls.sealed = newSealed
+	ls.segs = append(newSegs, ls.segs[prev:]...)
+	ls.zones = append(newZones, ls.zones[prev:]...)
+	ls.encs = append(newEncs, ls.encs[prev:]...)
+	ls.gen = NextGeneration()
 	return removed
-}
-
-// mergeSegments concatenates adjacent sealed segments into one, sealing
-// it to recompute the zone map and encodings over the merged rows. Row
-// order is preserved exactly: live segments hold rows batch-contiguous
-// in ascending batch order, so replaying them row by row through a
-// builder reproduces the canonical order byte for byte.
-func mergeSegments(segs []*Segment) *Segment {
-	b := NewBuilder(segs[0].batchLo, segs[len(segs)-1].batchHi)
-	for _, g := range segs {
-		var prev uint32
-		for i := 0; i < g.Len(); i++ {
-			if i == 0 || g.batch[i] != prev {
-				prev = g.batch[i]
-				b.BeginBatch(prev)
-			}
-			b.Append(g.Row(i))
-		}
-	}
-	return b.Seal()
 }

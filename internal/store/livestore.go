@@ -20,14 +20,21 @@ import (
 
 // LiveStore is the durable ingest front of the store: appended instance
 // rows are WAL-logged (and synced, under the default policy) before they
-// are acknowledged, accumulated in a growable open builder, sealed into
-// the ordinary immutable segments at a row threshold, and periodically
-// checkpointed — a v3 snapshot of the sealed segments plus the WAL
-// position the snapshot covers, written atomically via temp-file rename.
+// are acknowledged, appended to one set of flat columns, sealed into
+// immutable segments at a row threshold, and periodically checkpointed —
+// a v3 snapshot of the sealed segments plus the WAL position the
+// snapshot covers, written atomically via temp-file rename.
 // OpenLive recovers a crashed directory by loading the checkpoint and
 // replaying the WAL suffix through the same apply path the live process
 // used, which makes the recovered state bit-identical to an uncrashed
 // process that ingested the same records.
+//
+// Each row is held once. The columns hold the sealed segments' rows and
+// then the open segment's rows; a sealed segment is a SegmentInfo span
+// of them plus its zone map and encoding. Rows are only ever appended
+// past every reader's clipped length, never rewritten, so views (see
+// liveview.go), checkpoints and compaction read the columns through
+// clipped slice headers instead of copying them.
 //
 // Determinism is the load-bearing property. Recovery replays the record
 // stream, so everything the in-memory state depends on must be a pure
@@ -47,19 +54,41 @@ type LiveStore struct {
 	cfg LiveConfig
 	fs  vfs.FS
 
-	mu        sync.Mutex
-	log       *wal.Log
-	sealed    []*Segment
-	open      *Builder // nil when no unsealed rows
-	openStart wal.LSN  // LSN of the first record in the open builder
-	curBatch  uint32   // highest batch ID appended
-	haveRows  bool
-	ackRows   int // rows acknowledged (or recovered) so far
-	sealRows  int // rows in sealed segments
-	ckptSeq   uint64
-	ckptRows  int // sealed rows covered by the live checkpoint
-	closed    bool
-	failed    bool
+	mu  sync.Mutex
+	log *wal.Log
+
+	// cols holds every row: [0:sealRows) are the sealed segments' rows,
+	// the rest the open segment's. ranges[b] is batch b's global row
+	// range; only the newest batch's entry is ever rewritten.
+	cols   liveCols
+	ranges []rowRange
+
+	// The sealed layout, one entry per segment in row order. Seals append
+	// past every reader's length; compaction installs fresh slices, never
+	// edits these in place, so readers may keep the headers.
+	segs  []SegmentInfo
+	zones []ZoneMap
+	encs  []SegmentEnc
+
+	// The open segment: rows [sealRows, cols.len()), batches
+	// [openBatchLo, curBatch], its zone folded in as rows arrive.
+	openBatchLo uint32
+	openZone    zoneAcc
+	openStart   wal.LSN // LSN of the first record in the open segment
+
+	// gen is the generation views carry: fresh on open, on every seal and
+	// on every compaction that merges, stable while only the open
+	// segment grows.
+	gen uint64
+
+	curBatch uint32 // highest batch ID appended
+	haveRows bool
+	ackRows  int // rows acknowledged (or recovered) so far
+	sealRows int // rows in sealed segments
+	ckptSeq  uint64
+	ckptRows int // sealed rows covered by the live checkpoint
+	closed   bool
+	failed   bool
 
 	// degraded marks the read-only state disk exhaustion puts the store
 	// in: appends and checkpoints are refused with ErrDegraded while
@@ -69,15 +98,64 @@ type LiveStore struct {
 	degraded       bool
 	degradedReason string
 
-	// view is the MVCC read arena behind View (see liveview.go). It has
-	// its own mutex; ls.mu is only ever taken for the O(small) capture.
+	// view caches the latest view and counts View calls (see
+	// liveview.go); guarded by mu.
 	view viewState
+}
+
+// liveCols is the live store's one copy of its rows, one append-only
+// array per column.
+type liveCols struct {
+	batch, taskType, item, worker, answer []uint32
+	start, end                            []int64
+	trust                                 []float32
+}
+
+func (c *liveCols) len() int { return len(c.start) }
+
+func (c *liveCols) append(in model.Instance) {
+	c.batch = append(c.batch, in.Batch)
+	c.taskType = append(c.taskType, in.TaskType)
+	c.item = append(c.item, in.Item)
+	c.worker = append(c.worker, in.Worker)
+	c.answer = append(c.answer, in.Answer)
+	c.start = append(c.start, in.Start)
+	c.end = append(c.end, in.End)
+	c.trust = append(c.trust, in.Trust)
+}
+
+// store returns a raw-resident Store over rows [0,n) that shares the
+// columns' storage. The headers are clipped to n, so later appends never
+// touch what the store reads.
+func (c *liveCols) store(n int, ranges []rowRange, segs []SegmentInfo, zones []ZoneMap, gen uint64) *Store {
+	return &Store{
+		batch:    c.batch[:n:n],
+		taskType: c.taskType[:n:n],
+		item:     c.item[:n:n],
+		worker:   c.worker[:n:n],
+		answer:   c.answer[:n:n],
+		start:    c.start[:n:n],
+		end:      c.end[:n:n],
+		trust:    c.trust[:n:n],
+		rows:     n,
+		ranges:   ranges,
+		segs:     segs,
+		zones:    zones,
+		fill:     &fillState{},
+		gen:      gen,
+	}
+}
+
+// encode encodes rows [lo,hi) of the columns as one segment.
+func (c *liveCols) encode(lo, hi int) SegmentEnc {
+	return encodeSegmentColumns(c.batch[lo:hi], c.taskType[lo:hi], c.item[lo:hi], c.worker[lo:hi],
+		c.answer[lo:hi], c.start[lo:hi], c.end[lo:hi], c.trust[lo:hi])
 }
 
 // LiveConfig tunes a LiveStore. The thresholds are part of the recovery
 // contract: reopen a directory with the values it was written under.
 type LiveConfig struct {
-	// SealRows is the open-builder row count at which the next batch
+	// SealRows is the open segment's row count at which the next batch
 	// boundary seals it into an immutable segment. Zero means 1 << 16.
 	SealRows int
 	// CheckpointRows checkpoints automatically once that many sealed rows
@@ -294,7 +372,7 @@ func OpenLive(dir string, cfg LiveConfig) (*LiveStore, error) {
 	if err := fs.MkdirAll(dir); err != nil {
 		return nil, err
 	}
-	ls := &LiveStore{dir: dir, cfg: cfg, fs: fs}
+	ls := &LiveStore{dir: dir, cfg: cfg, fs: fs, gen: NextGeneration()}
 
 	// Root of trust: the CHECKPOINT meta, absent on a fresh directory.
 	var ckptLSN wal.LSN
@@ -378,8 +456,10 @@ func (ls *LiveStore) readCkptMeta() (ckptMeta, bool, error) {
 	return m, true, nil
 }
 
-// loadCheckpoint strict-loads the snapshot meta points at and rebuilds
-// the sealed segment list from it.
+// loadCheckpoint strict-loads the snapshot meta points at and adopts its
+// columns and sealed layout. Zone maps and encodings are carried over,
+// not recomputed — the seal computed them from the same bytes, so the
+// round trip through a snapshot is bit-identical.
 func (ls *LiveStore) loadCheckpoint(meta ckptMeta) error {
 	path := filepath.Join(ls.dir, ckptName(meta.seq))
 	f, err := ls.fs.OpenRead(path)
@@ -399,58 +479,22 @@ func (ls *LiveStore) loadCheckpoint(meta ckptMeta) error {
 		return fmt.Errorf("checkpoint snapshot %s holds %d rows, meta says %d: %w",
 			ckptName(meta.seq), st.Len(), meta.rows, ErrCorrupt)
 	}
-	segs, err := segmentsFromStore(st)
-	if err != nil {
-		return fmt.Errorf("checkpoint snapshot %s: %w", ckptName(meta.seq), err)
-	}
-	ls.sealed = segs
-	ls.sealRows = st.Len()
-	if n := len(segs); n > 0 {
-		ls.curBatch = segs[n-1].batchHi - 1
-		ls.haveRows = true
-	}
-	return nil
-}
-
-// segmentsFromStore re-slices an assembled (or snapshot-loaded) store
-// into its sealed segments. Zone maps and encodings are carried over,
-// not recomputed — Seal computed them from the same bytes, so the round
-// trip through a snapshot is bit-identical.
-func segmentsFromStore(st *Store) ([]*Segment, error) {
-	infos := st.segs
 	if st.Len() == 0 {
-		return nil, nil
+		return nil
 	}
-	if len(infos) == 0 || len(st.zones) != len(infos) || len(st.encs) != len(infos) {
-		return nil, fmt.Errorf("store lacks a segment layout: %w", ErrCorrupt)
+	n := len(st.segs)
+	if n == 0 || len(st.zones) != n || len(st.encs) != n {
+		return fmt.Errorf("checkpoint snapshot %s lacks a segment layout: %w", ckptName(meta.seq), ErrCorrupt)
 	}
 	st.ensure(colMaskAll)
-	segs := make([]*Segment, len(infos))
-	for i, si := range infos {
-		g := &Segment{
-			batchLo:  si.BatchLo,
-			batchHi:  si.BatchHi,
-			batch:    st.batch[si.RowLo:si.RowHi:si.RowHi],
-			taskType: st.taskType[si.RowLo:si.RowHi:si.RowHi],
-			item:     st.item[si.RowLo:si.RowHi:si.RowHi],
-			worker:   st.worker[si.RowLo:si.RowHi:si.RowHi],
-			start:    st.start[si.RowLo:si.RowHi:si.RowHi],
-			end:      st.end[si.RowLo:si.RowHi:si.RowHi],
-			trust:    st.trust[si.RowLo:si.RowHi:si.RowHi],
-			answer:   st.answer[si.RowLo:si.RowHi:si.RowHi],
-			ranges:   make([]rowRange, si.BatchHi-si.BatchLo),
-			zone:     st.zones[i],
-			enc:      st.encs[i],
-		}
-		for b := si.BatchLo; b < si.BatchHi; b++ {
-			rr := st.ranges[b]
-			if rr.Hi > rr.Lo {
-				g.ranges[b-si.BatchLo] = rowRange{Lo: rr.Lo - int32(si.RowLo), Hi: rr.Hi - int32(si.RowLo)}
-			}
-		}
-		segs[i] = g
-	}
-	return segs, nil
+	ls.cols = liveCols{batch: st.batch, taskType: st.taskType, item: st.item, worker: st.worker,
+		answer: st.answer, start: st.start, end: st.end, trust: st.trust}
+	ls.ranges = st.ranges
+	ls.segs, ls.zones, ls.encs = st.segs, st.zones, st.encs
+	ls.sealRows = st.Len()
+	ls.curBatch = st.segs[n-1].BatchHi - 1
+	ls.haveRows = true
+	return nil
 }
 
 // removeStaleFiles deletes temp files and snapshots other than the live
@@ -480,8 +524,8 @@ func (ls *LiveStore) removeStaleFiles() error {
 }
 
 // Append validates rows, logs them as one WAL record, and — only after
-// the log accepts (and, under SyncAlways, syncs) the record — applies
-// them to the open builder and acknowledges. Rows must arrive in batch
+// the log accepts (and, under SyncAlways, syncs) the record — appends
+// them to the open segment and acknowledges. Rows must arrive in batch
 // order: batch IDs non-decreasing within the call and no lower than the
 // store's highest batch. A nil error means the rows are durable under
 // the configured sync policy; after any error the store is poisoned and
@@ -511,9 +555,9 @@ func (ls *LiveStore) Append(rows []model.Instance) error {
 	if ls.haveRows && rows[0].Batch < ls.curBatch {
 		return fmt.Errorf("store: append batch %d regresses below %d", rows[0].Batch, ls.curBatch)
 	}
-	// With no open builder, the highest batch is inside a sealed segment;
+	// With no open rows, the highest batch is inside a sealed segment;
 	// continuing it would split the batch across segments.
-	if ls.haveRows && ls.open == nil && rows[0].Batch == ls.curBatch {
+	if ls.haveRows && ls.openRows() == 0 && rows[0].Batch == ls.curBatch {
 		return fmt.Errorf("store: append batch %d is already sealed", rows[0].Batch)
 	}
 	lsn, err := ls.log.Append(encodeRecord(rows))
@@ -554,6 +598,9 @@ func (ls *LiveStore) enterDegradedLocked(cause error) {
 	ls.degradedReason = cause.Error()
 }
 
+// openRows returns how many rows the open segment holds.
+func (ls *LiveStore) openRows() int { return ls.cols.len() - ls.sealRows }
+
 // applyLocked folds one validated record into the in-memory state. It is
 // the single apply path — live appends and recovery replay both go
 // through it — and it cannot fail: everything it depends on was
@@ -562,23 +609,41 @@ func (ls *LiveStore) applyLocked(lsn wal.LSN, rows []model.Instance) {
 	// Seal only at a record boundary, and only once the batch ID advances:
 	// a batch never splits across segments, so the decision is a pure
 	// function of the record stream and the configured threshold.
-	if ls.open != nil && ls.open.Len() >= ls.cfg.SealRows && rows[0].Batch > ls.curBatch {
-		ls.sealed = append(ls.sealed, ls.open.Seal())
-		ls.sealRows += ls.open.Len()
-		ls.open = nil
+	if ls.openRows() >= ls.cfg.SealRows && rows[0].Batch > ls.curBatch {
+		ls.sealLocked()
 	}
-	if ls.open == nil {
-		ls.open = NewLiveBuilder(rows[0].Batch)
+	if ls.openRows() == 0 {
+		ls.openBatchLo = rows[0].Batch
 		ls.openStart = lsn
 	}
+	lo := ls.cols.len()
 	for _, in := range rows {
 		if !ls.haveRows || in.Batch != ls.curBatch {
-			ls.open.BeginBatch(in.Batch)
+			if grow := int(in.Batch) + 1 - len(ls.ranges); grow > 0 {
+				ls.ranges = append(ls.ranges, make([]rowRange, grow)...)
+			}
+			n := int32(ls.cols.len())
+			ls.ranges[in.Batch] = rowRange{Lo: n, Hi: n}
 			ls.curBatch = in.Batch
+			ls.haveRows = true
 		}
-		ls.open.Append(in)
-		ls.haveRows = true
+		ls.cols.append(in)
+		ls.ranges[in.Batch].Hi++
 	}
+	c := &ls.cols
+	ls.openZone.fold(c.taskType, c.item, c.worker, c.answer, c.start, c.end, c.trust, lo, c.len())
+}
+
+// sealLocked seals the open segment: its span, folded zone and a fresh
+// encoding join the sealed layout. No row moves.
+func (ls *LiveStore) sealLocked() {
+	lo, hi := ls.sealRows, ls.cols.len()
+	ls.segs = append(ls.segs, SegmentInfo{RowLo: lo, RowHi: hi, BatchLo: ls.openBatchLo, BatchHi: ls.curBatch + 1})
+	ls.zones = append(ls.zones, ls.openZone.z)
+	ls.encs = append(ls.encs, ls.cols.encode(lo, hi))
+	ls.openZone = zoneAcc{}
+	ls.sealRows = hi
+	ls.gen = NextGeneration()
 }
 
 // Checkpoint writes a checkpoint now: a v3 snapshot of the sealed
@@ -610,16 +675,9 @@ func (ls *LiveStore) Checkpoint() error {
 }
 
 func (ls *LiveStore) checkpointLocked() error {
-	numBatches := 0
-	if n := len(ls.sealed); n > 0 {
-		numBatches = int(ls.sealed[n-1].batchHi)
-	}
-	st, err := Assemble(numBatches, ls.sealed)
-	if err != nil {
-		return err
-	}
+	st := ls.sealedStoreLocked()
 	lsn := ls.log.End()
-	if ls.open != nil {
+	if ls.openRows() > 0 {
 		lsn = ls.openStart
 	}
 	seq := ls.ckptSeq + 1
@@ -690,44 +748,37 @@ func (ls *LiveStore) writeFileAtomic(path string, fill func(vfs.File) error) err
 	return ls.fs.SyncDir(ls.dir)
 }
 
-// Store assembles the current contents — sealed segments plus a sealed
-// copy of the open builder — into an immutable Store for querying. The
-// live store remains usable; the returned store does not change as more
-// rows arrive. Unlike View, the result owns its column arrays and
-// carries full segment encodings; unlike the old implementation, all of
-// that O(total rows) work happens off ls.mu — only an O(segments +
-// open batches) capture runs under the mutex, so ingest never stalls
-// behind an assembly. Prefer View on a query-serving path.
-func (ls *LiveStore) Store() (*Store, error) {
-	c := ls.captureView()
-	segs := c.sealed
+// sealedStoreLocked returns a Store over the sealed prefix of the
+// columns, carrying the sealed layout, zones and encodings; it shares
+// every array with the live store. Sealed batches' range entries are
+// final, so the range table is shared too.
+func (ls *LiveStore) sealedStoreLocked() *Store {
+	n := len(ls.segs)
 	numBatches := 0
-	if n := len(segs); n > 0 {
-		numBatches = int(segs[n-1].batchHi)
+	if n > 0 {
+		numBatches = int(ls.segs[n-1].BatchHi)
 	}
-	if c.tail.rows > 0 {
-		copyB := NewLiveBuilder(c.tail.batchLo)
-		var prev uint32
-		for i := 0; i < c.tail.rows; i++ {
-			if i == 0 || c.tail.batch[i] != prev {
-				prev = c.tail.batch[i]
-				copyB.BeginBatch(prev)
-			}
-			copyB.Append(model.Instance{
-				Batch:    c.tail.batch[i],
-				TaskType: c.tail.taskType[i],
-				Item:     c.tail.item[i],
-				Worker:   c.tail.worker[i],
-				Start:    c.tail.start[i],
-				End:      c.tail.end[i],
-				Trust:    c.tail.trust[i],
-				Answer:   c.tail.answer[i],
-			})
-		}
-		segs = append(append([]*Segment(nil), segs...), copyB.Seal())
-		numBatches = int(segs[len(segs)-1].batchHi)
+	st := ls.cols.store(ls.sealRows, ls.ranges[:numBatches:numBatches], ls.segs[:n:n], ls.zones[:n:n], NextGeneration())
+	st.encs = ls.encs[:n:n]
+	return st
+}
+
+// Store returns the current contents — sealed segments plus the open
+// rows as one more segment — as an immutable Store carrying full segment
+// encodings and a fresh generation. It shares the view's columns; only
+// the open segment's encoding is computed, outside ls.mu. The live store
+// remains usable, and the returned store does not change as more rows
+// arrive. Prefer View on a query-serving path.
+func (ls *LiveStore) Store() (*Store, error) {
+	ls.mu.Lock()
+	st := ls.viewLocked()
+	c, encs := ls.cols, ls.encs[:len(ls.encs):len(ls.encs)]
+	ls.mu.Unlock()
+	if open := st.segs[len(encs):]; len(open) > 0 {
+		encs = append(encs, c.encode(open[0].RowLo, open[0].RowHi))
 	}
-	return Assemble(numBatches, segs)
+	st.encs, st.gen = encs, NextGeneration()
+	return st, nil
 }
 
 // Rows returns the number of acknowledged (or recovered) rows.
@@ -754,7 +805,7 @@ func (ls *LiveStore) NextBatch() uint32 {
 func (ls *LiveStore) SealedSegments() int {
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
-	return len(ls.sealed)
+	return len(ls.segs)
 }
 
 // Degraded reports whether the store is in the read-only degraded state
@@ -821,7 +872,7 @@ func (ls *LiveStore) probeDiskLocked() error {
 	return ls.fs.Remove(path)
 }
 
-// Close syncs and closes the WAL. The open builder's rows stay durable
+// Close syncs and closes the WAL. The open segment's rows stay durable
 // in the log and are rebuilt on the next OpenLive; Close does not
 // checkpoint (call Checkpoint first to bound reopen replay).
 func (ls *LiveStore) Close() error {

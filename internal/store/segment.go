@@ -11,7 +11,9 @@ import (
 // half-open interval of batch IDs. Segments are the unit of parallel
 // ingest: each generation shard renders its batches into one Builder,
 // seals it, and Assemble merges the sealed segments — in canonical batch
-// order — into the flat columnar Store every analysis scans.
+// order — into the flat columnar Store every analysis scans. (The live
+// store seals too, but keeps its rows in one set of flat columns and
+// describes each sealed segment by its SegmentInfo span; see LiveStore.)
 type Segment struct {
 	batchLo, batchHi uint32 // [batchLo, batchHi) batch IDs this segment covers
 
@@ -64,7 +66,6 @@ type Builder struct {
 	seg    *Segment
 	cur    int // index into seg.ranges of the open batch, -1 when none
 	sealed bool
-	grow   bool // live builder: the interval extends as higher batches begin
 }
 
 // NewBuilder returns a builder for the batch-ID interval [batchLo, batchHi).
@@ -82,29 +83,12 @@ func NewBuilder(batchLo, batchHi uint32) *Builder {
 	}
 }
 
-// NewLiveBuilder returns a growable builder starting at batchLo: its
-// batch interval extends as higher batches begin. The live ingest path
-// uses it because the final interval of an open segment is unknown until
-// it seals — the sealed segment covers [batchLo, lastBatch+1).
-func NewLiveBuilder(batchLo uint32) *Builder {
-	return &Builder{
-		seg: &Segment{batchLo: batchLo, batchHi: batchLo},
-		cur: -1, grow: true,
-	}
-}
-
 // BeginBatch marks the start of batchID's rows; all Append calls until the
 // next BeginBatch belong to it. The batch must lie inside the builder's
-// interval (a live builder instead grows its interval to cover it).
+// interval.
 func (b *Builder) BeginBatch(batchID uint32) {
 	if b.sealed {
 		panic("store: BeginBatch on sealed builder")
-	}
-	if b.grow && batchID >= b.seg.batchHi {
-		for hi := b.seg.batchHi; hi <= batchID; hi++ {
-			b.seg.ranges = append(b.seg.ranges, rowRange{})
-		}
-		b.seg.batchHi = batchID + 1
 	}
 	if batchID < b.seg.batchLo || batchID >= b.seg.batchHi {
 		panic(fmt.Sprintf("store: batch %d outside builder interval [%d,%d)", batchID, b.seg.batchLo, b.seg.batchHi))
@@ -155,7 +139,8 @@ func (b *Builder) Seal() *Segment {
 func (g *Segment) Enc() *SegmentEnc { return &g.enc }
 
 // SegmentInfo describes one sealed segment's position inside an assembled
-// store: its row span and the batch-ID interval it covers.
+// store (or a live store's columns): its row span and the batch-ID
+// interval it covers.
 type SegmentInfo struct {
 	RowLo, RowHi     int    // [RowLo, RowHi) rows
 	BatchLo, BatchHi uint32 // [BatchLo, BatchHi) batch IDs

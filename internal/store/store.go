@@ -22,11 +22,13 @@ import (
 //
 // A store carries its rows in up to two forms: the flat raw column
 // arrays below, and per-segment lightweight encodings (see colenc.go).
-// Stores built by Assemble hold both; stores loaded from a compressed v3
-// snapshot arrive encoded-only and materialize raw columns lazily, one
-// column at a time, on first accessor use. The query engine scans the
-// encoded form directly, so count-style queries over a loaded snapshot
-// never pay for materialization.
+// Stores built by Assemble hold both; live-store views hold only raw
+// columns, shared with the live store's own (see LiveStore.View); stores
+// loaded from a compressed v3 snapshot arrive encoded-only and
+// materialize raw columns lazily, one column at a time, on first
+// accessor use. The query engine scans the encoded form directly, so
+// count-style queries over a loaded snapshot never pay for
+// materialization.
 type Store struct {
 	batch    []uint32
 	taskType []uint32
@@ -75,7 +77,7 @@ type Store struct {
 	// process. The query planner keys its plan cache on it — unlike the
 	// store's address, a generation can never alias a freed store whose
 	// memory was recycled. Live-store views share one generation per
-	// sealed-segment set (see LiveStore.View), which is what lets hot
+	// sealed layout (see LiveStore.View), which is what lets hot
 	// plans survive open-tail refreshes. Zero means "unversioned" (a
 	// zero-value store that never passed through a constructor); the
 	// planner refuses to cache those.
@@ -382,7 +384,8 @@ var storeGen atomic.Uint64
 
 // NextGeneration draws a fresh, never-reused store generation. It is
 // exported for callers that version store-shaped snapshots of their own
-// (LiveStore draws one per sealed-segment set).
+// (LiveStore draws one per sealed layout: on open, on each seal and on
+// each merging compaction).
 func NextGeneration() uint64 { return storeGen.Add(1) }
 
 // Generation returns the store's construction generation: non-zero and

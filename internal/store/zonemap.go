@@ -84,20 +84,31 @@ func (e *enumSet) add(v uint32) {
 	e.vals[lo] = v
 }
 
-// computeZoneMap summarizes rows [lo, hi) of the given column slices.
-func computeZoneMap(taskType, item, worker, answer []uint32, start, end []int64, trust []float32, lo, hi int) ZoneMap {
-	z := ZoneMap{Rows: hi - lo}
-	if z.Rows == 0 {
-		return z
+// zoneAcc accumulates a ZoneMap over rows folded in order. It is the one
+// zone routine: computeZoneMap folds a whole row span at once, and the
+// live store folds its open segment record by record, so a sealed zone
+// is the same whichever way its rows arrived.
+type zoneAcc struct {
+	z        ZoneMap
+	tts, ans enumSet
+}
+
+// fold extends the zone with rows [lo, hi) of the given column slices.
+func (a *zoneAcc) fold(taskType, item, worker, answer []uint32, start, end []int64, trust []float32, lo, hi int) {
+	if hi <= lo {
+		return
 	}
-	z.TaskTypeMin, z.TaskTypeMax = taskType[lo], taskType[lo]
-	z.ItemMin, z.ItemMax = item[lo], item[lo]
-	z.WorkerMin, z.WorkerMax = worker[lo], worker[lo]
-	z.AnswerMin, z.AnswerMax = answer[lo], answer[lo]
-	z.StartMin, z.StartMax = start[lo], start[lo]
-	z.EndMin, z.EndMax = end[lo], end[lo]
-	z.TrustMin, z.TrustMax = trust[lo], trust[lo]
-	tts, ans := enumSet{cap: zoneEnumCap}, enumSet{cap: zoneEnumCap}
+	z := &a.z
+	if z.Rows == 0 {
+		z.TaskTypeMin, z.TaskTypeMax = taskType[lo], taskType[lo]
+		z.ItemMin, z.ItemMax = item[lo], item[lo]
+		z.WorkerMin, z.WorkerMax = worker[lo], worker[lo]
+		z.AnswerMin, z.AnswerMax = answer[lo], answer[lo]
+		z.StartMin, z.StartMax = start[lo], start[lo]
+		z.EndMin, z.EndMax = end[lo], end[lo]
+		z.TrustMin, z.TrustMax = trust[lo], trust[lo]
+		a.tts, a.ans = enumSet{cap: zoneEnumCap}, enumSet{cap: zoneEnumCap}
+	}
 	for i := lo; i < hi; i++ {
 		z.TaskTypeMin = min(z.TaskTypeMin, taskType[i])
 		z.TaskTypeMax = max(z.TaskTypeMax, taskType[i])
@@ -113,11 +124,27 @@ func computeZoneMap(taskType, item, worker, answer []uint32, start, end []int64,
 		z.EndMax = max(z.EndMax, end[i])
 		z.TrustMin = min(z.TrustMin, trust[i])
 		z.TrustMax = max(z.TrustMax, trust[i])
-		tts.add(taskType[i])
-		ans.add(answer[i])
+		a.tts.add(taskType[i])
+		a.ans.add(answer[i])
 	}
-	z.TaskTypes, z.Answers = tts.vals, ans.vals
+	z.Rows += hi - lo
+	z.TaskTypes, z.Answers = a.tts.vals, a.ans.vals
+}
+
+// frozen returns the zone so far with private copies of its enum sets,
+// which later folds keep editing in place.
+func (a *zoneAcc) frozen() ZoneMap {
+	z := a.z
+	z.TaskTypes = append([]uint32(nil), z.TaskTypes...)
+	z.Answers = append([]uint32(nil), z.Answers...)
 	return z
+}
+
+// computeZoneMap summarizes rows [lo, hi) of the given column slices.
+func computeZoneMap(taskType, item, worker, answer []uint32, start, end []int64, trust []float32, lo, hi int) ZoneMap {
+	var a zoneAcc
+	a.fold(taskType, item, worker, answer, start, end, trust, lo, hi)
+	return a.z
 }
 
 // Zone returns the segment's zone map (computed at Seal).
