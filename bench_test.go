@@ -161,10 +161,10 @@ func BenchmarkAnalysisNew(b *testing.B) {
 	}
 }
 
-// BenchmarkClusterBatches times the clustering front end alone (page
+// BenchmarkClusterSampledPages times the clustering front end alone (page
 // render, one-pass shingling, MinHash signatures, LSH merge) over the
 // real sampled pages.
-func BenchmarkClusterBatches(b *testing.B) {
+func BenchmarkClusterSampledPages(b *testing.B) {
 	ctx := setup(b)
 	ids := ctx.A.SampledIDs[:2000]
 	html := ctx.A.DS.BatchHTML

@@ -15,7 +15,11 @@
 //   - /ingest acknowledges only after the WAL has accepted the record
 //     (LiveStore.Append), so an acked batch survives a crash;
 //   - background maintenance — merging small sealed segments and
-//     time-based checkpoints — runs on tickers off the request path.
+//     time-based checkpoints — runs on tickers off the request path,
+//     and neither holds the store's lock while it encodes or writes:
+//     a checkpoint locks only to capture the sealed prefix and to
+//     commit, so queries keep answering while its snapshot is written
+//     and fsynced.
 //
 // Endpoints (all JSON): POST/GET /query, POST /ingest, GET /stats,
 // GET /healthz.

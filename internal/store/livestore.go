@@ -54,6 +54,11 @@ type LiveStore struct {
 	cfg LiveConfig
 	fs  vfs.FS
 
+	// ckptMu serializes checkpoints. It is always taken before mu, never
+	// while holding mu, so a checkpoint writes its files with mu released
+	// (see checkpoint).
+	ckptMu sync.Mutex
+
 	mu  sync.Mutex
 	log *wal.Log
 
@@ -83,12 +88,16 @@ type LiveStore struct {
 
 	curBatch uint32 // highest batch ID appended
 	haveRows bool
-	ackRows  int // rows acknowledged (or recovered) so far
-	sealRows int // rows in sealed segments
-	ckptSeq  uint64
-	ckptRows int // sealed rows covered by the live checkpoint
-	closed   bool
-	failed   bool
+	ackRows  int    // rows acknowledged (or recovered) so far
+	sealRows int    // rows in sealed segments
+	ckptSeq  uint64 // the live snapshot's sequence
+	ckptRows int    // sealed rows covered by the live checkpoint
+	// lastSeq is the highest snapshot sequence a checkpoint has written
+	// to. Sequences are never reused, so a checkpoint never overwrites a
+	// snapshot the on-disk meta might name.
+	lastSeq uint64
+	closed  bool
+	failed  bool
 
 	// degraded marks the read-only state disk exhaustion puts the store
 	// in: appends and checkpoints are refused with ErrDegraded while
@@ -159,8 +168,11 @@ type LiveConfig struct {
 	// boundary seals it into an immutable segment. Zero means 1 << 16.
 	SealRows int
 	// CheckpointRows checkpoints automatically once that many sealed rows
-	// are not yet covered by a checkpoint. Zero means 4 * SealRows;
-	// negative disables auto-checkpointing (Checkpoint still works).
+	// are not yet covered by a checkpoint. The Append that crosses the
+	// threshold acks its rows and then checkpoints with the store's lock
+	// released; Appends that cross it together write one checkpoint. Zero
+	// means 4 * SealRows; negative disables auto-checkpointing
+	// (Checkpoint still works).
 	CheckpointRows int
 	// Sync is the WAL fsync policy; the zero value is SyncAlways, under
 	// which an acknowledged append survives any crash.
@@ -385,7 +397,7 @@ func OpenLive(dir string, cfg LiveConfig) (*LiveStore, error) {
 			return nil, err
 		}
 		ckptLSN = meta.lsn
-		ls.ckptSeq = meta.seq
+		ls.ckptSeq, ls.lastSeq = meta.seq, meta.seq
 	}
 	ls.ckptRows = ls.sealRows
 	ls.ackRows = ls.sealRows
@@ -530,35 +542,46 @@ func (ls *LiveStore) removeStaleFiles() error {
 // store's highest batch. A nil error means the rows are durable under
 // the configured sync policy; after any error the store is poisoned and
 // must be reopened.
+//
+// When the append leaves CheckpointRows sealed rows uncovered, Append
+// then checkpoints (see checkpoint), after the rows are applied and
+// ls.mu is released. A full disk there still acks the rows, which are
+// WAL-durable, and degrades the store; any other checkpoint error is
+// returned.
 func (ls *LiveStore) Append(rows []model.Instance) error {
+	due, err := ls.appendRecord(rows)
+	if err != nil || !due {
+		return err
+	}
+	return ls.checkpoint(true)
+}
+
+// appendRecord is Append under ls.mu: validate, log, apply. It reports
+// whether a threshold checkpoint is due.
+func (ls *LiveStore) appendRecord(rows []model.Instance) (bool, error) {
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
-	switch {
-	case ls.closed:
-		return fmt.Errorf("store: live store closed")
-	case ls.failed:
-		return ErrLiveFailed
-	case ls.degraded:
-		return fmt.Errorf("%w (%s)", ErrDegraded, ls.degradedReason)
+	if err := ls.writeErrLocked(); err != nil {
+		return false, err
 	}
 	if len(rows) == 0 {
-		return nil
+		return false, nil
 	}
 	if len(rows) > MaxAppendRows {
-		return fmt.Errorf("store: %d rows exceed the %d-row append cap", len(rows), MaxAppendRows)
+		return false, fmt.Errorf("store: %d rows exceed the %d-row append cap", len(rows), MaxAppendRows)
 	}
 	for i := 1; i < len(rows); i++ {
 		if rows[i].Batch < rows[i-1].Batch {
-			return fmt.Errorf("store: append rows out of batch order (%d after %d)", rows[i].Batch, rows[i-1].Batch)
+			return false, fmt.Errorf("store: append rows out of batch order (%d after %d)", rows[i].Batch, rows[i-1].Batch)
 		}
 	}
 	if ls.haveRows && rows[0].Batch < ls.curBatch {
-		return fmt.Errorf("store: append batch %d regresses below %d", rows[0].Batch, ls.curBatch)
+		return false, fmt.Errorf("store: append batch %d regresses below %d", rows[0].Batch, ls.curBatch)
 	}
 	// With no open rows, the highest batch is inside a sealed segment;
 	// continuing it would split the batch across segments.
 	if ls.haveRows && ls.openRows() == 0 && rows[0].Batch == ls.curBatch {
-		return fmt.Errorf("store: append batch %d is already sealed", rows[0].Batch)
+		return false, fmt.Errorf("store: append batch %d is already sealed", rows[0].Batch)
 	}
 	lsn, err := ls.log.Append(encodeRecord(rows))
 	if err != nil {
@@ -568,28 +591,33 @@ func (ls *LiveStore) Append(rows []model.Instance) error {
 			// RecoverWrites can truncate the torn tail and resume once
 			// space returns. Degrade to read-only instead of poisoning.
 			ls.enterDegradedLocked(err)
-			return fmt.Errorf("%w: wal append: %v", ErrDegraded, err)
+			return false, fmt.Errorf("%w: wal append: %v", ErrDegraded, err)
 		}
 		ls.failed = true
-		return fmt.Errorf("store: wal append: %w", err)
+		return false, fmt.Errorf("store: wal append: %w", err)
 	}
 	ls.applyLocked(lsn, rows)
 	ls.ackRows += len(rows)
-	if ls.cfg.CheckpointRows > 0 && ls.sealRows-ls.ckptRows >= ls.cfg.CheckpointRows {
-		if err := ls.checkpointLocked(); err != nil {
-			if isDiskFull(err) {
-				// The rows themselves are already WAL-durable and applied —
-				// this append succeeded; it is only the checkpoint that
-				// could not fit. Acknowledge the rows and degrade, leaving
-				// the WAL suffix a little longer until space returns.
-				ls.enterDegradedLocked(err)
-				return nil
-			}
-			ls.failed = true
-			return fmt.Errorf("store: checkpoint: %w", err)
-		}
+	return ls.ckptDueLocked(), nil
+}
+
+// writeErrLocked returns why the store refuses writes, or nil.
+func (ls *LiveStore) writeErrLocked() error {
+	switch {
+	case ls.closed:
+		return fmt.Errorf("store: live store closed")
+	case ls.failed:
+		return ErrLiveFailed
+	case ls.degraded:
+		return fmt.Errorf("%w (%s)", ErrDegraded, ls.degradedReason)
 	}
 	return nil
+}
+
+// ckptDueLocked reports whether CheckpointRows sealed rows are not yet
+// covered by a checkpoint.
+func (ls *LiveStore) ckptDueLocked() bool {
+	return ls.cfg.CheckpointRows > 0 && ls.sealRows-ls.ckptRows >= ls.cfg.CheckpointRows
 }
 
 // enterDegradedLocked flips the store into the read-only degraded state.
@@ -651,41 +679,80 @@ func (ls *LiveStore) sealLocked() {
 // releasing the log prefix the snapshot covers. Each step is atomic
 // (temp-file rename) and ordered so that a crash at any point leaves a
 // recoverable directory: at worst an orphaned snapshot or an
-// un-truncated WAL, never a checkpoint that names missing data.
-func (ls *LiveStore) Checkpoint() error {
-	ls.mu.Lock()
-	defer ls.mu.Unlock()
-	switch {
-	case ls.closed:
-		return fmt.Errorf("store: live store closed")
-	case ls.failed:
-		return ErrLiveFailed
-	case ls.degraded:
-		return fmt.Errorf("%w (%s)", ErrDegraded, ls.degradedReason)
-	}
-	if err := ls.checkpointLocked(); err != nil {
-		if isDiskFull(err) {
-			ls.enterDegradedLocked(err)
-			return fmt.Errorf("%w: checkpoint: %v", ErrDegraded, err)
-		}
-		ls.failed = true
-		return fmt.Errorf("store: checkpoint: %w", err)
-	}
-	return nil
-}
+// un-truncated WAL, never a checkpoint that names missing data. The
+// files are written with the store's lock released, so views, appends
+// and compaction carry on meanwhile; a concurrent Checkpoint or Close
+// waits for this one.
+func (ls *LiveStore) Checkpoint() error { return ls.checkpoint(false) }
 
-func (ls *LiveStore) checkpointLocked() error {
+// checkpoint runs one checkpoint in three phases:
+//
+//  1. Capture, under ls.mu: a Store over the sealed prefix (sealed rows,
+//     layout and encodings are immutable, and compaction installs fresh
+//     slices, so the headers stay valid), the WAL position replay must
+//     resume from, and a fresh snapshot sequence.
+//  2. Write, with ls.mu released: writeCheckpoint. The WAL has its own
+//     lock.
+//  3. Commit, under ls.mu: the checkpoint position advances if the meta
+//     became durable; ENOSPC degrades the store, any other error fails it.
+//
+// ckptMu, held throughout, serializes checkpoints. auto marks Append's
+// threshold checkpoint: once it holds ckptMu it runs only if one is still
+// due (a concurrent Append may just have written it, so Appends crossing
+// the threshold together write one snapshot), and a full disk degrades
+// the store without failing the Append.
+func (ls *LiveStore) checkpoint(auto bool) error {
+	ls.ckptMu.Lock()
+	defer ls.ckptMu.Unlock()
+
+	ls.mu.Lock()
+	err := ls.writeErrLocked()
+	if auto && (err != nil || !ls.ckptDueLocked()) {
+		ls.mu.Unlock()
+		return nil
+	}
+	if err != nil {
+		ls.mu.Unlock()
+		return err
+	}
 	st := ls.sealedStoreLocked()
 	lsn := ls.log.End()
 	if ls.openRows() > 0 {
 		lsn = ls.openStart
 	}
-	seq := ls.ckptSeq + 1
+	prev := ls.ckptSeq
+	ls.lastSeq++
+	seq := ls.lastSeq
+	ls.mu.Unlock()
 
-	// Step 1: the snapshot, durable under its final name.
-	path := filepath.Join(ls.dir, ckptName(seq))
-	if err := ls.writeFileAtomic(path, func(w vfs.File) error {
-		_, err := st.WriteSnapshot(w, WriteOptions{})
+	err = ls.writeCheckpoint(st, lsn, seq, prev)
+
+	ls.mu.Lock()
+	defer ls.mu.Unlock()
+	switch {
+	case err == nil:
+		ls.ckptSeq, ls.ckptRows = seq, st.Len()
+		return nil
+	case isDiskFull(err):
+		ls.enterDegradedLocked(err)
+		if auto {
+			return nil
+		}
+		return fmt.Errorf("%w: checkpoint: %v", ErrDegraded, err)
+	}
+	ls.failed = true
+	return fmt.Errorf("store: checkpoint: %w", err)
+}
+
+// writeCheckpoint writes snapshot seq of st and the meta naming it, then
+// releases what it covers. It runs without ls.mu. A nil error means the
+// meta is durable and seq is the live snapshot.
+func (ls *LiveStore) writeCheckpoint(st *Store, lsn wal.LSN, seq, prev uint64) error {
+	// Step 1: the snapshot, durable under its final name. One encoding
+	// worker, so a background checkpoint leaves the other cores to the
+	// queries beside it; the bytes are the same for any worker count.
+	if err := ls.writeFileAtomic(filepath.Join(ls.dir, ckptName(seq)), func(w vfs.File) error {
+		_, err := st.WriteSnapshot(w, WriteOptions{Workers: 1})
 		return err
 	}); err != nil {
 		return err
@@ -698,18 +765,14 @@ func (ls *LiveStore) checkpointLocked() error {
 	}); err != nil {
 		return err
 	}
-	// Step 3: release what the snapshot covers. Failures past this point
-	// leave garbage, not damage; recovery ignores both leftovers.
-	if err := ls.log.TruncateBefore(lsn); err != nil {
-		return err
+	// Step 3: release what the snapshot covers. A failure here leaves
+	// garbage, not damage, so it is not reported: recovery ignores both
+	// leftovers, the next checkpoint's truncation retries the WAL
+	// segments, and the next OpenLive removes a stale snapshot.
+	_ = ls.log.TruncateBefore(lsn)
+	if prev != 0 {
+		_ = ls.fs.Remove(filepath.Join(ls.dir, ckptName(prev)))
 	}
-	if ls.ckptSeq != 0 {
-		if err := ls.fs.Remove(filepath.Join(ls.dir, ckptName(ls.ckptSeq))); err != nil && !errors.Is(err, os.ErrNotExist) {
-			return err
-		}
-	}
-	ls.ckptSeq = seq
-	ls.ckptRows = ls.sealRows
 	return nil
 }
 
@@ -872,10 +935,13 @@ func (ls *LiveStore) probeDiskLocked() error {
 	return ls.fs.Remove(path)
 }
 
-// Close syncs and closes the WAL. The open segment's rows stay durable
-// in the log and are rebuilt on the next OpenLive; Close does not
-// checkpoint (call Checkpoint first to bound reopen replay).
+// Close syncs and closes the WAL, after waiting for an in-flight
+// checkpoint. The open segment's rows stay durable in the log and are
+// rebuilt on the next OpenLive; Close does not checkpoint (call
+// Checkpoint first to bound reopen replay).
 func (ls *LiveStore) Close() error {
+	ls.ckptMu.Lock()
+	defer ls.ckptMu.Unlock()
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
 	if ls.closed {
